@@ -46,18 +46,6 @@ speedup of the second over the first:
   p50/p99 against the server's ``slo_latency_*`` targets (``slo_ok``),
   plus one schema-tracked flight record per completed query
   (``flight_ok``).
-* ``pool_stress`` (``single_process`` vs ``worker_pool``) — 64 clients
-  (16 under ``--quick``), each with its own small video, firing a
-  miss-then-hit detector workload under simulated serving latency.  The
-  baseline is one ``EvaServer`` process with 4 worker threads; the
-  candidate is a 4-process ``PoolServer`` (4 threads each) over an
-  8-shard durable view store.  On a sleep-bound workload the pool
-  multiplies serving concurrency, so it must win >=2x real seconds
-  while returning bit-identical rows, view contents, per-client hit
-  rates, and per-client virtual clocks.  A coalescing sub-run points 8
-  clients at one shared video and must show cross-process misses
-  merging in the owner's dispatcher (``remote_requests > 0`` and a
-  mean coalesced batch above one request).
 * ``reuse_efficiency`` (``unledgered`` vs ``ledgered``) — the hit-heavy
   workload with the view-provenance ledger off vs on
   (``EvaConfig.view_ledger``): the ledger is pure observability, so
@@ -399,238 +387,6 @@ def run_batched_miss_heavy(quick: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# pool_stress: one server process vs the multi-process worker pool
-# ---------------------------------------------------------------------------
-
-POOL_CLIENTS = 64
-POOL_CLIENTS_QUICK = 16
-POOL_WORKERS = 4
-POOL_WORKER_THREADS = 4
-POOL_SHARDS = 8
-#: Per-dispatch serving latency for the pool scenario (real seconds).
-#: Queries sleep through the model round-trip, so throughput scales
-#: with serving concurrency, not CPU — the honest single-core setting.
-POOL_SERVICE_LATENCY = 0.15
-POOL_FRAMES = 48
-#: Coalescing sub-run: concurrent clients sharing one video.
-POOL_COALESCE_CLIENTS = 8
-
-
-def pool_zoo():
-    """Zoo factory for spawned pool workers (module-level so it pickles
-    across the spawn boundary): the default zoo with the scenario's
-    serving latency applied inside the worker process."""
-    zoo = default_zoo()
-    for name in zoo.names():
-        zoo.get(name).service_latency_per_call = POOL_SERVICE_LATENCY
-    return zoo
-
-
-def pool_video(index: int) -> SyntheticVideo:
-    metadata = VideoMetadata(
-        name=f"poolvid{index:02d}", num_frames=POOL_FRAMES, width=640,
-        height=360, fps=25.0, vehicles_per_frame=6.0)
-    return SyntheticVideo(metadata, seed=100 + index)
-
-
-def pool_query(index: int) -> str:
-    return (f"SELECT id, label FROM poolvid{index:02d} CROSS APPLY "
-            f"FastRCNNObjectDetector(frame) "
-            f"WHERE id < {POOL_FRAMES - 8} AND label = 'car';")
-
-
-def pool_config(num_clients: int, store_dir: Path, *,
-                workers: int, shards: int) -> "EvaConfig":
-    # batch_rows=16 splits each 48-frame video into ~3 inference
-    # dispatches, so a miss query sleeps ~3x the per-call latency.
-    return EvaConfig(reuse_policy=ReusePolicy.EVA, workers=workers,
-                     shards=shards, batch_rows=16,
-                     store_mode="durable", store_path=str(store_dir),
-                     worker_queue_depth=4 * num_clients)
-
-
-def run_pool_clients(connect, num_clients: int, clock_of) -> dict:
-    """Each client runs its own query twice (miss, then hit) against
-    its own video; returns pooled totals plus per-client rows, hit
-    rates, and virtual clocks for the differential gates."""
-    from repro.errors import ServerOverloadedError
-
-    handles = [connect(f"pool-{index}") for index in range(num_clients)]
-    rows: list = [None] * num_clients
-    errors: list[str] = []
-
-    def run(index: int) -> None:
-        query = pool_query(index)
-        results = []
-        for _ in range(2):
-            while True:
-                try:
-                    results.append(tuple(handles[index].execute(query).rows))
-                    break
-                except ServerOverloadedError as error:
-                    time.sleep(error.retry_after)
-                except Exception as error:  # noqa: BLE001 - pooled below
-                    errors.append(f"pool-{index}: {error}")
-                    return
-        rows[index] = tuple(results)
-
-    start = time.perf_counter()
-    threads = [threading.Thread(target=run, args=(i,))
-               for i in range(num_clients)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - start
-    if errors:
-        raise RuntimeError("pool clients failed: " + "; ".join(errors))
-
-    clocks = {}
-    hit_rates = {}
-    total_virtual = 0.0
-    for index, handle in enumerate(handles):
-        virtual = round(virtual_total(clock_of(handle)), 9)
-        clocks[f"pool-{index}"] = virtual
-        total_virtual += virtual
-        hit_rates[f"pool-{index}"] = round(handle.hit_percentage(), 6)
-    return {"wall_seconds": round(wall, 6),
-            "rows": sum(len(a) + len(b) for a, b in rows),
-            "virtual_seconds": total_virtual,
-            "queries": 2 * num_clients,
-            "per_client_rows": rows, "per_client_clocks": clocks,
-            "per_client_hit_rates": hit_rates}
-
-
-def run_pool_single(num_clients: int, store_dir: Path) -> dict:
-    """Baseline: one ``EvaServer`` process, POOL_WORKER_THREADS threads."""
-    from repro.server import EvaServer
-
-    config = pool_config(num_clients, store_dir, workers=1, shards=1)
-    server = EvaServer(config, max_workers=POOL_WORKER_THREADS,
-                       max_queue=4 * num_clients)
-    for index in range(num_clients):
-        server.register_video(pool_video(index))
-    set_service_latency(POOL_SERVICE_LATENCY)
-    try:
-        with server.start():
-            def clock_of(handle):
-                with handle.checkout() as session:
-                    return session.clock.breakdown()
-
-            entry = run_pool_clients(server.connect, num_clients, clock_of)
-            base = server.state.view_store.base
-            entry["views"] = {
-                name: (list(base.get(name).key_columns),
-                       list(base.get(name).output_columns),
-                       sorted(base.get(name).items()))
-                for name in base.names()}
-    finally:
-        set_service_latency(0.0)
-    return entry
-
-
-def run_pool_pooled(num_clients: int, store_dir: Path) -> dict:
-    """Candidate: POOL_WORKERS spawned processes over a sharded store."""
-    from repro.server import PoolServer
-
-    config = pool_config(num_clients, store_dir,
-                         workers=POOL_WORKERS, shards=POOL_SHARDS)
-    pool = PoolServer(config, zoo_factory=pool_zoo,
-                      worker_threads=POOL_WORKER_THREADS,
-                      bulkhead_capacity=4 * num_clients)
-    with pool:  # spawn + WAL-recovery happen outside the measured window
-        for index in range(num_clients):
-            pool.register_video(pool_video(index))
-        entry = run_pool_clients(
-            pool.connect, num_clients,
-            lambda handle: handle.clock_breakdown())
-        entry["views"] = pool.dump_views()
-        entry["batcher"] = pool.batcher_snapshot()
-    return entry
-
-
-def run_pool_coalesce(store_dir: Path) -> dict:
-    """Cross-process miss coalescing: concurrent clients on two workers
-    all missing the same (model, video) must merge in the one dispatcher
-    that owns the shard — visible as ``remote_requests`` from the
-    non-owner worker and a mean batch above one request."""
-    from repro.server import PoolServer
-
-    config = EvaConfig(reuse_policy=ReusePolicy.NONE, workers=2,
-                       shards=4, batch_rows=1_000_000,
-                       store_mode="durable", store_path=str(store_dir),
-                       micro_batch_max_size=1_000_000,
-                       micro_batch_timeout_ms=250.0)
-    pool = PoolServer(config, zoo_factory=pool_zoo,
-                      worker_threads=POOL_COALESCE_CLIENTS)
-    with pool:
-        pool.register_video(pool_video(99))
-        handles = [pool.connect(f"co-{i}")
-                   for i in range(POOL_COALESCE_CLIENTS)]
-        query = pool_query(99)
-        row_counts = [0] * POOL_COALESCE_CLIENTS
-
-        def run(index: int) -> None:
-            row_counts[index] = len(handles[index].execute(query).rows)
-
-        threads = [threading.Thread(target=run, args=(i,))
-                   for i in range(POOL_COALESCE_CLIENTS)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        snapshot = pool.batcher_snapshot()
-    return {"clients": POOL_COALESCE_CLIENTS,
-            "rows_identical": len(set(row_counts)) == 1,
-            "requests": snapshot.requests,
-            "remote_requests": snapshot.remote_requests,
-            "dispatches": snapshot.dispatches,
-            "mean_batch_requests": round(snapshot.mean_batch_requests, 3),
-            "max_batch_requests": snapshot.max_batch_requests}
-
-
-def run_pool_stress(quick: bool) -> dict:
-    """Single-process serving vs the 4-worker pool on the same
-    sleep-bound workload, plus the cross-process coalescing sub-run."""
-    import shutil
-    import tempfile
-
-    num_clients = POOL_CLIENTS_QUICK if quick else POOL_CLIENTS
-    root = Path(tempfile.mkdtemp(prefix="eva-bench-pool-"))
-    try:
-        single = run_pool_single(num_clients, root / "single")
-        pooled = run_pool_pooled(num_clients, root / "pooled")
-        coalesce = run_pool_coalesce(root / "coalesce")
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-    rows_identical = single.pop("per_client_rows") == \
-        pooled.pop("per_client_rows")
-    views_match = single.pop("views") == pooled.pop("views")
-    hits_match = single.pop("per_client_hit_rates") == \
-        pooled.pop("per_client_hit_rates")
-    clocks_match = single.pop("per_client_clocks") == \
-        pooled.pop("per_client_clocks")
-    batcher = pooled.pop("batcher")
-    entry = pair_entry(
-        ("single_process", "worker_pool"), single, pooled,
-        clients=num_clients, workers=POOL_WORKERS,
-        worker_threads=POOL_WORKER_THREADS, shards=POOL_SHARDS,
-        service_latency_per_call=POOL_SERVICE_LATENCY,
-        views_match=views_match, hits_match=hits_match,
-        clocks_match=clocks_match,
-        batcher={"requests": batcher.requests,
-                 "remote_requests": batcher.remote_requests,
-                 "dispatches": batcher.dispatches},
-        coalesce=coalesce,
-        pool_coalesced=coalesce["remote_requests"] > 0
-        and coalesce["mean_batch_requests"] > 1.0
-        and coalesce["rows_identical"])
-    entry["rows_match"] = entry["rows_match"] and rows_identical
-    return entry
-
-
-# ---------------------------------------------------------------------------
 # reuse_efficiency: the provenance ledger must observe, not perturb
 # ---------------------------------------------------------------------------
 
@@ -846,7 +602,6 @@ def main(argv: list[str] | None = None) -> int:
         args.quick)
     report["scenarios"]["stress_concurrent"] = run_stress_concurrent(
         frames, args.quick)
-    report["scenarios"]["pool_stress"] = run_pool_stress(args.quick)
     report["scenarios"]["reuse_efficiency"] = run_reuse_efficiency(
         frames, repetitions)
 
@@ -879,18 +634,6 @@ def main(argv: list[str] | None = None) -> int:
         print("ERROR: stress_concurrent did not record exactly one "
               "flight record per completed query", file=sys.stderr)
         ok = False
-    pool = report["scenarios"]["pool_stress"]
-    for gate in ("views_match", "hits_match", "clocks_match"):
-        if not pool[gate]:
-            print(f"ERROR: pool_stress {gate} is false (the worker "
-                  "pool changed observable query semantics)",
-                  file=sys.stderr)
-            ok = False
-    if not pool["pool_coalesced"]:
-        print("ERROR: pool_stress coalesce sub-run never merged misses "
-              "across processes (remote_requests == 0 or mean batch "
-              "<= 1)", file=sys.stderr)
-        ok = False
     reuse = report["scenarios"]["reuse_efficiency"]
     if not reuse["net_benefit_positive"]:
         print("ERROR: reuse_efficiency pool net benefit is not positive "
@@ -922,9 +665,6 @@ def main(argv: list[str] | None = None) -> int:
         "latency_p50_seconds"]
     report["stress_p99_seconds"] = stress["concurrent"][
         "latency_p99_seconds"]
-    report["pool_speedup"] = pool["real_speedup"]
-    report["pool_remote_requests"] = \
-        pool["coalesce"]["remote_requests"]
     report["reuse_net_benefit_virtual_seconds"] = \
         reuse["ledger"]["net_benefit_virtual_seconds"]
     args.output.write_text(json.dumps(report, indent=2) + "\n")

@@ -23,9 +23,6 @@ Comparison rules:
   ``stress_concurrent`` run whose concurrent-pass p50/p99 latencies
   blew the checked-in SLO targets (``slo_ok`` false) or that failed to
   emit exactly one flight record per completed query (``flight_ok``
-  false), or a ``pool_stress`` run whose worker pool changed observable
-  semantics (``views_match`` / ``hits_match`` / ``clocks_match`` false)
-  or never coalesced misses across processes (``pool_coalesced``
   false);
 * **wall clock is configuration-relative** — raw wall seconds are only
   compared when the fresh run used the same ``frames`` / ``repetitions``
@@ -42,10 +39,8 @@ Comparison rules:
   1.0), the miss-dominated APPLY path must stay >=
   ``--min-miss-speedup`` over row mode (default 1.0 — the fusion
   compiler's skip-fusion deferral must keep cold model evaluation from
-  regressing), the multi-process worker pool must stay >=
-  ``--min-pool-speedup`` over single-process serving (default 1.0; CI
-  passes 2.0 on the sleep-bound stress workload), and per-scenario
-  speedup regressions beyond the tolerance are reported as warnings.
+  regressing), and per-scenario speedup regressions beyond the
+  tolerance are reported as warnings.
 
 Usage::
 
@@ -95,8 +90,7 @@ def scenario_pair(scenario: dict) -> tuple[str, str]:
 def compare(baseline: dict, fresh: dict, *, tolerance: float,
             min_speedup: float, min_parallel_speedup: float,
             min_fused_speedup: float = 1.0,
-            min_miss_speedup: float = 1.0,
-            min_pool_speedup: float = 1.0) -> tuple[list[str], list[str]]:
+            min_miss_speedup: float = 1.0) -> tuple[list[str], list[str]]:
     """Diff ``fresh`` against ``baseline``.
 
     Returns ``(failures, warnings)``; any failure fails the job.
@@ -140,23 +134,6 @@ def compare(baseline: dict, fresh: dict, *, tolerance: float,
             failures.append(
                 f"{name}: flight recorder did not emit exactly one "
                 f"record per completed query")
-        for gate, message in (
-                ("views_match", "materialized view contents diverged "
-                                "between the pair"),
-                ("hits_match", "per-client hit rates diverged between "
-                               "the pair"),
-                ("clocks_match", "per-client virtual clocks diverged "
-                                 "between the pair")):
-            if gate in scenario and not scenario[gate]:
-                failures.append(f"{name}: {gate} is false ({message})")
-        if "pool_coalesced" in scenario \
-                and not scenario["pool_coalesced"]:
-            coalesce = scenario.get("coalesce", {})
-            failures.append(
-                f"{name}: cross-process coalescing never engaged "
-                f"(remote_requests="
-                f"{coalesce.get('remote_requests')}, mean batch "
-                f"{coalesce.get('mean_batch_requests')} request(s))")
         if "net_benefit_positive" in scenario:
             if not scenario["net_benefit_positive"]:
                 failures.append(
@@ -212,16 +189,6 @@ def compare(baseline: dict, fresh: dict, *, tolerance: float,
             f"apply_miss_heavy speedup {miss:.2f}x < required "
             f"{min_miss_speedup:.2f}x (skip-fusion deferral must keep "
             f"the miss-dominated path from regressing below row mode)")
-    pool = fresh.get("pool_speedup")
-    if pool is None:
-        scenario = fresh.get("scenarios", {}).get("pool_stress")
-        pool = scenario.get("real_speedup") if scenario else None
-    if pool is not None and pool < min_pool_speedup:
-        failures.append(
-            f"pool_speedup {pool:.2f}x < required "
-            f"{min_pool_speedup:.2f}x (the multi-process worker pool "
-            f"must keep its win over single-process serving on the "
-            f"sleep-bound stress workload)")
 
     comparable = same_configuration(baseline, fresh)
     for name in sorted(set(baseline.get("scenarios", {}))
@@ -287,8 +254,6 @@ def history_entry(baseline: dict, fresh: dict, failures: list[str],
         "post_restart_hit_rate": fresh.get("post_restart_hit_rate"),
         "stress_p50_seconds": fresh.get("stress_p50_seconds"),
         "stress_p99_seconds": fresh.get("stress_p99_seconds"),
-        "pool_speedup": fresh.get("pool_speedup"),
-        "pool_remote_requests": fresh.get("pool_remote_requests"),
         "reuse_net_benefit_virtual_seconds":
             fresh.get("reuse_net_benefit_virtual_seconds"),
         "scenarios": {
@@ -334,10 +299,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="hard floor for the apply_miss_heavy "
                              "real_speedup (vectorized vs row on the "
                              "miss-dominated path)")
-    parser.add_argument("--min-pool-speedup", type=float, default=1.0,
-                        help="hard floor for the pool_stress "
-                             "real_speedup (multi-process worker pool "
-                             "vs single-process serving)")
     parser.add_argument("--history", type=Path,
                         default=REPO_ROOT / "BENCH_history.jsonl",
                         help="JSONL file the summary is appended to "
@@ -371,8 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         min_speedup=args.min_speedup,
         min_parallel_speedup=args.min_parallel_speedup,
         min_fused_speedup=args.min_fused_speedup,
-        min_miss_speedup=args.min_miss_speedup,
-        min_pool_speedup=args.min_pool_speedup)
+        min_miss_speedup=args.min_miss_speedup)
     for line in warnings:
         print(f"warning: {line}")
     for line in failures:
@@ -395,7 +355,6 @@ def main(argv: list[str] | None = None) -> int:
           f"hot path {fresh.get('hot_path_speedup')}x, "
           f"fused {fresh.get('fused_speedup')}x, "
           f"parallel {fresh.get('parallel_speedup')}x, "
-          f"pool {fresh.get('pool_speedup')}x, "
           f"mean coalesced batch "
           f"{fresh.get('batcher_mean_batch_requests')} request(s)")
     return 0

@@ -396,42 +396,25 @@ def demo_queries(table: str, frames: int) -> list[str]:
 
 
 def run_serve_demo(dataset: str, clients: int, workers: int,
-                   rounds: int, queue: int, stdout: IO[str], *,
-                   pool: int = 0, shards: int | None = None,
-                   store_path: str | None = None) -> int:
+                   rounds: int, queue: int, stdout: IO[str]) -> int:
     """Smoke the multi-client server: N clients, overlapping queries.
 
     Each client runs the demo workload (rotated so clients start on
     different queries) from its own thread; rejected submissions back
     off by the server's suggested ``retry_after`` and retry.  Prints the
     server stats snapshot, whose off-diagonal hit attribution is the
-    cross-client reuse the shared view store buys.  With ``--pool N``
-    the same workload runs against a multi-process
-    :class:`~repro.server.PoolServer` (N spawned workers, ``--workers``
-    threads each, sharded durable view store) and the printed snapshot
-    is the fleet-wide merge.
+    cross-client reuse the shared view store buys.
     """
-    import shutil
-    import tempfile
     import threading
     import time as _time
 
     from repro.errors import ServerOverloadedError
-    from repro.server import EvaServer, PoolServer
+    from repro.server import EvaServer
 
     video = make_video(dataset)
     queries = demo_queries(video.name, video.num_frames)
-    scratch_store = None
-    if pool > 0:
-        if store_path is None:
-            store_path = tempfile.mkdtemp(prefix="eva-serve-pool-")
-            scratch_store = store_path
-        config = EvaConfig(workers=pool, shards=shards or 2 * pool,
-                           worker_queue_depth=queue,
-                           store_mode="durable", store_path=store_path)
-        server = PoolServer(config, worker_threads=workers)
-    else:
-        server = EvaServer(max_workers=workers, max_queue=queue)
+    server = EvaServer(max_workers=workers, max_queue=queue)
+    server.register_video(video)
     errors: list[str] = []
 
     def run_client(handle) -> None:
@@ -449,26 +432,20 @@ def run_serve_demo(dataset: str, clients: int, workers: int,
                         errors.append(f"{handle.client_id}: {error}")
                         return
 
-    try:
-        with server.start():
-            server.register_video(video)
-            handles = [server.connect(f"demo-{i}")
-                       for i in range(clients)]
-            threads = [threading.Thread(target=run_client, args=(h,),
-                                        name=h.client_id)
-                       for h in handles]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            snapshot = server.stats()
-            aggregate = server.aggregate_metrics()
-    finally:
-        if scratch_store is not None:
-            shutil.rmtree(scratch_store, ignore_errors=True)
+    with server.start():
+        handles = [server.connect() for _ in range(clients)]
+        threads = [threading.Thread(target=run_client, args=(h,),
+                                    name=h.client_id)
+                   for h in handles]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        snapshot = server.stats()
     for line in errors:
         print(f"error: {line}", file=stdout)
     print(snapshot.format(), file=stdout)
+    aggregate = server.aggregate_metrics()
     print(f"speedup upper bound (Eq. 7, all clients): "
           f"{aggregate.speedup_upper_bound():.2f}x", file=stdout)
     return 1 if errors else 0
@@ -820,45 +797,26 @@ def _top_frame(server, *, clear: bool) -> str:
 def run_top(dataset: str, clients: int, workers: int, duration: float,
             interval: float, once: bool, stdout: IO[str], *,
             slo_p50: float | None = None,
-            slo_p99: float | None = None,
-            pool: int = 0, shards: int | None = None,
-            store_path: str | None = None) -> int:
+            slo_p99: float | None = None) -> int:
     """``repro top``: live terminal dashboard over a running server.
 
-    Spins up an in-process :class:`~repro.server.EvaServer` — or, with
-    ``--pool N``, a multi-process :class:`~repro.server.PoolServer`
-    with N spawned workers over a sharded durable view store — drives
-    the overlapping demo workload from ``clients`` background threads,
-    and refreshes a QPS / queue / latency-quantile / lock-contention /
-    SLO view every ``interval`` seconds; in pool mode every number on
-    the dashboard is the fleet-wide merge of the per-worker telemetry.
-    ``--once`` renders a single frame after the workload settles and
-    exits (CI smoke mode).
+    Spins up an in-process :class:`~repro.server.EvaServer`, drives the
+    overlapping demo workload from ``clients`` background threads, and
+    refreshes a QPS / queue / latency-quantile / lock-contention / SLO
+    view every ``interval`` seconds.  ``--once`` renders a single frame
+    after the workload settles and exits (CI smoke mode).
     """
-    import shutil
-    import tempfile
     import threading
     import time as _time
 
     from repro.errors import ServerOverloadedError
-    from repro.server import EvaServer, PoolServer
+    from repro.server import EvaServer
 
     video = make_video(dataset)
     queries = demo_queries(video.name, video.num_frames)
-    scratch_store = None
-    if pool > 0:
-        if store_path is None:
-            store_path = tempfile.mkdtemp(prefix="eva-top-pool-")
-            scratch_store = store_path
-        config = EvaConfig(slo_latency_p50=slo_p50,
-                           slo_latency_p99=slo_p99,
-                           workers=pool, shards=shards or 2 * pool,
-                           store_mode="durable", store_path=store_path)
-        server = PoolServer(config, worker_threads=workers)
-    else:
-        config = EvaConfig(slo_latency_p50=slo_p50,
-                           slo_latency_p99=slo_p99)
-        server = EvaServer(config, max_workers=workers)
+    config = EvaConfig(slo_latency_p50=slo_p50, slo_latency_p99=slo_p99)
+    server = EvaServer(config, max_workers=workers)
+    server.register_video(video)
     stop = threading.Event()
 
     def run_client(handle, offset: int) -> None:
@@ -873,41 +831,32 @@ def run_top(dataset: str, clients: int, workers: int, duration: float,
             except EvaError:  # pragma: no cover - workload best-effort
                 return
 
-    try:
-        with server.start():
-            # Pool workers exist only after start(), so registration
-            # (broadcast in pool mode) happens inside the with-block.
-            server.register_video(video)
-            handles = [server.connect() for _ in range(clients)]
-            threads = [threading.Thread(target=run_client, args=(h, i),
-                                        name=f"top-client-{i}",
-                                        daemon=True)
-                       for i, h in enumerate(handles)]
+    with server.start():
+        handles = [server.connect() for _ in range(clients)]
+        threads = [threading.Thread(target=run_client, args=(h, i),
+                                    name=f"top-client-{i}", daemon=True)
+                   for i, h in enumerate(handles)]
+        for thread in threads:
+            thread.start()
+        try:
+            deadline = _time.monotonic() + duration
+            if once:
+                # Let the workload produce a few records, then render.
+                while (server.stats().completed < clients
+                       and _time.monotonic() < deadline):
+                    _time.sleep(0.05)
+                print(_top_frame(server, clear=False), file=stdout)
+            else:
+                while _time.monotonic() < deadline:
+                    print(_top_frame(server,
+                                     clear=stdout.isatty()), file=stdout)
+                    _time.sleep(interval)
+                print(_top_frame(server, clear=stdout.isatty()),
+                      file=stdout)
+        finally:
+            stop.set()
             for thread in threads:
-                thread.start()
-            try:
-                deadline = _time.monotonic() + duration
-                if once:
-                    # Let the workload produce a few records, then render.
-                    while (server.stats().completed < clients
-                           and _time.monotonic() < deadline):
-                        _time.sleep(0.05)
-                    print(_top_frame(server, clear=False), file=stdout)
-                else:
-                    while _time.monotonic() < deadline:
-                        print(_top_frame(server,
-                                         clear=stdout.isatty()),
-                              file=stdout)
-                        _time.sleep(interval)
-                    print(_top_frame(server, clear=stdout.isatty()),
-                          file=stdout)
-            finally:
-                stop.set()
-                for thread in threads:
-                    thread.join(timeout=5.0)
-    finally:
-        if scratch_store is not None:
-            shutil.rmtree(scratch_store, ignore_errors=True)
+                thread.join(timeout=5.0)
     return 0
 
 
@@ -1017,17 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "synthetic:<frames>[:<density>]")
     serve.add_argument("--clients", type=int, default=4)
     serve.add_argument("--workers", type=int, default=4)
-    serve.add_argument("--pool", type=int, default=0, metavar="N",
-                       help="serve from N spawned worker processes "
-                            "(PoolServer) instead of one in-process "
-                            "server; --workers becomes threads per "
-                            "worker")
-    serve.add_argument("--shards", type=int, default=None,
-                       help="view-store shards in --pool mode "
-                            "(default: 2x the worker count)")
-    serve.add_argument("--store-path", default=None, metavar="DIR",
-                       help="durable store directory for --pool mode "
-                            "(default: a scratch directory)")
     serve.add_argument("--rounds", type=int, default=2,
                        help="workload repetitions per client")
     serve.add_argument("--queue", type=int, default=16,
@@ -1093,17 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="p50 latency target in seconds")
     top.add_argument("--slo-p99", type=float, default=None,
                      help="p99 latency target in seconds")
-    top.add_argument("--pool", type=int, default=0, metavar="N",
-                     help="drive a PoolServer with N spawned worker "
-                          "processes (--workers becomes threads per "
-                          "worker); the dashboard shows fleet-wide "
-                          "merged telemetry")
-    top.add_argument("--shards", type=int, default=None,
-                     help="view-store shards in --pool mode "
-                          "(default: 2x the worker count)")
-    top.add_argument("--store-path", default=None, metavar="DIR",
-                     help="durable store directory for --pool mode "
-                          "(default: a scratch directory)")
     store = sub.add_parser(
         "store",
         help="inspect a durable view store directory (read-only)")
@@ -1142,9 +1069,7 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
     if args.command == "serve-demo":
         try:
             return run_serve_demo(args.dataset, args.clients, args.workers,
-                                  args.rounds, args.queue, stdout,
-                                  pool=args.pool, shards=args.shards,
-                                  store_path=args.store_path)
+                                  args.rounds, args.queue, stdout)
         except ValueError as error:
             print(f"error: {error}", file=stdout)
             return 2
@@ -1194,9 +1119,7 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
             return run_top(args.dataset, args.clients, args.workers,
                            args.duration, args.interval, args.once,
                            stdout, slo_p50=args.slo_p50,
-                           slo_p99=args.slo_p99, pool=args.pool,
-                           shards=args.shards,
-                           store_path=args.store_path)
+                           slo_p99=args.slo_p99)
         except ValueError as error:
             print(f"error: {error}", file=stdout)
             return 2

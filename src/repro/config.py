@@ -195,36 +195,6 @@ class EvaConfig:
     #: latency quantiles are tracked regardless.
     slo_latency_p50: float | None = None
     slo_latency_p99: float | None = None
-    #: Multi-process worker pool (``repro.server.pool``): number of
-    #: worker *processes* the :class:`~repro.server.pool.PoolServer`
-    #: spawns, each running a full session stack over its slice of the
-    #: sharded view store.  ``1`` still runs the pool machinery (useful
-    #: for differential testing); plain single-process serving is
-    #: :class:`~repro.server.EvaServer`.  ``workers > 1`` requires a
-    #: durable store (``store_mode="durable"`` + ``store_path``): each
-    #: shard persists under its own partition directory, which is the
-    #: shared medium that makes worker crash/respawn lossless.
-    workers: int = 1
-    #: Number of view-store shards consistent-hashed over the workers.
-    #: Views, UDF histories, and inference dispatch for a given
-    #: (model, video) signature all land on the shard of that
-    #: signature's key, so the owning worker serves probes, appends,
-    #: predicate unions, and coalesced model calls for it.  Must be
-    #: >= ``workers`` (each worker owns >= 1 shard).
-    shards: int = 8
-    #: Per-worker admission queue depth (queue-based load leveling):
-    #: each worker process admits at most ``worker threads +
-    #: worker_queue_depth`` queries; beyond that the worker pushes back
-    #: with :class:`~repro.errors.ServerOverloadedError` and the
-    #: front-end's circuit breaker starts counting.
-    worker_queue_depth: int = 16
-    #: Circuit breaker: consecutive overload rejections (per client
-    #: class) before the breaker opens and the front-end fails fast
-    #: without touching the workers.  ``0`` disables the breaker.
-    breaker_threshold: int = 8
-    #: How long (seconds) an open breaker stays open before letting a
-    #: half-open probe through.
-    breaker_cooldown_s: float = 1.0
     #: Maintain the per-view lineage / reuse-provenance ledger
     #: (:mod:`repro.obs.lineage`): creation provenance, Eq. 3 net-benefit
     #: accounting, derivation edges, and the ``repro lineage`` surfaces.
@@ -305,38 +275,6 @@ class EvaConfig:
             raise ValueError(
                 f"slo_latency_p50 ({self.slo_latency_p50!r}) must not "
                 f"exceed slo_latency_p99 ({self.slo_latency_p99!r})")
-        if self.workers < 1:
-            raise ValueError(
-                f"workers must be >= 1, got {self.workers!r}")
-        if self.shards < 1:
-            raise ValueError(
-                f"shards must be >= 1, got {self.shards!r}")
-        if self.shards < self.workers:
-            raise ValueError(
-                f"shards ({self.shards!r}) must be >= workers "
-                f"({self.workers!r}): every worker process owns at "
-                f"least one view-store shard")
-        if self.worker_queue_depth < 0:
-            raise ValueError(
-                f"worker_queue_depth must be >= 0, "
-                f"got {self.worker_queue_depth!r}")
-        if self.breaker_threshold < 0:
-            raise ValueError(
-                f"breaker_threshold must be >= 0 (0 disables the "
-                f"breaker), got {self.breaker_threshold!r}")
-        if self.breaker_cooldown_s <= 0:
-            raise ValueError(
-                f"breaker_cooldown_s must be positive, "
-                f"got {self.breaker_cooldown_s!r}")
-        if self.workers > 1 and self.store_mode != "durable":
-            raise ValueError(
-                f"workers={self.workers!r} requires "
-                f"store_mode='durable' with a store_path: worker "
-                f"processes share state through per-shard durable "
-                f"partition directories, and store_mode="
-                f"{self.store_mode!r} gives them no shared path "
-                f"(crash recovery and cross-process view reuse would "
-                f"silently lose views)")
         if self.ranking is None:
             # Materialization-aware ranking is EVA's contribution; the
             # baselines use the canonical ranking function.

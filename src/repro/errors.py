@@ -83,27 +83,6 @@ class ServerOverloadedError(ServerError):
         self.retry_after = retry_after
 
 
-class CircuitOpenError(ServerOverloadedError):
-    """The pool's circuit breaker is open for this client class.
-
-    Raised *without* dispatching to a worker: after
-    ``breaker_threshold`` consecutive overload rejections the breaker
-    fails fast for ``breaker_cooldown_s`` (then half-opens on one probe
-    query), shedding load instead of hammering saturated workers.
-    Subclasses :class:`ServerOverloadedError` so retry loops written
-    against the single-process server back off identically.
-    """
-
-
-class WorkerCrashedError(ServerError):
-    """A pool worker process died while serving this query.
-
-    The pool respawns the worker and replays its shard partitions from
-    their WALs; the query itself is *not* transparently retried (it may
-    have had side effects), so the client decides whether to resubmit.
-    """
-
-
 class QueryCancelledError(ServerError):
     """The query was cancelled before or during execution."""
 

@@ -202,25 +202,6 @@ class FlightStats:
                 "over_slo_by_stage": dict(self._over_slo_by_stage),
             }
 
-    @staticmethod
-    def merge_snapshots(snapshots: list) -> dict:
-        """Field-wise sum of per-process :meth:`snapshot` dicts.
-
-        Every field is a count or a seconds total, so the fleet rollup
-        is a plain associative sum — no windows or quantiles involved.
-        """
-        merged = {"records": 0, "over_slo": 0, "stage_seconds": {},
-                  "dominant": {}, "over_slo_by_stage": {}}
-        for snap in snapshots:
-            if not snap:
-                continue
-            merged["records"] += snap.get("records", 0)
-            merged["over_slo"] += snap.get("over_slo", 0)
-            for key in ("stage_seconds", "dominant", "over_slo_by_stage"):
-                for stage, value in snap.get(key, {}).items():
-                    merged[key][stage] = merged[key].get(stage, 0) + value
-        return merged
-
 
 class FlightRecorder:
     """Assembles and emits one flight record per finished query.

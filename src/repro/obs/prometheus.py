@@ -287,12 +287,6 @@ def _expose_batcher(exp: _Exposition, snapshot) -> None:
                stat="mean")
     exp.sample("eva_batcher_batch_tuples", snapshot.max_batch_tuples,
                stat="max")
-    exp.header("eva_batcher_remote_requests_total",
-               "Miss sub-batches that arrived over the worker pool's "
-               "shard protocol from a non-owner process (> 0 means "
-               "coalescing spans processes)", "counter")
-    exp.sample("eva_batcher_remote_requests_total",
-               snapshot.remote_requests)
     exp.header("eva_batcher_queue_depth",
                "Requests currently parked in coalescing windows",
                "gauge")

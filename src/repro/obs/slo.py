@@ -72,80 +72,6 @@ class HistogramSnapshot:
             "p99_s": round(self.p99, 9),
         }
 
-    @classmethod
-    def merge(cls, snapshots: "list[HistogramSnapshot]"
-              ) -> "HistogramSnapshot":
-        """Combine per-process snapshots into one fleet histogram.
-
-        Associative and commutative (same contract as
-        :meth:`~repro.obs.profiler.ProfileStore.merge`): bucket counts
-        add, min/max fold, and the quantiles are re-estimated from the
-        merged counts — *never* averaged from the inputs' quantiles,
-        which would not compose.  All inputs must share one bucket grid
-        (every histogram in this codebase uses a fixed, config-free
-        grid per call site, so worker processes always agree).
-        """
-        snapshots = [s for s in snapshots if s is not None]
-        if not snapshots:
-            return LatencyHistogram().snapshot()
-        buckets = snapshots[0].buckets
-        for other in snapshots[1:]:
-            if other.buckets != buckets:
-                raise ValueError(
-                    f"cannot merge histograms with different bucket "
-                    f"grids: {buckets!r} vs {other.buckets!r}")
-        counts = [0] * (len(buckets) + 1)
-        count = 0
-        total = 0.0
-        minimum = 0.0
-        maximum = 0.0
-        for s in snapshots:
-            for i, c in enumerate(s.counts):
-                counts[i] += c
-            if s.count:
-                minimum = (s.min_seconds if count == 0
-                           else min(minimum, s.min_seconds))
-                maximum = max(maximum, s.max_seconds)
-                count += s.count
-                total += s.sum_seconds
-        return cls(
-            buckets=buckets,
-            counts=tuple(counts),
-            count=count,
-            sum_seconds=total,
-            min_seconds=minimum,
-            max_seconds=maximum,
-            p50=_quantile_from_counts(buckets, counts, count, maximum,
-                                      0.50),
-            p95=_quantile_from_counts(buckets, counts, count, maximum,
-                                      0.95),
-            p99=_quantile_from_counts(buckets, counts, count, maximum,
-                                      0.99),
-        )
-
-
-def _quantile_from_counts(buckets, counts, count: int, maximum: float,
-                          q: float) -> float:
-    """Interpolated quantile over raw bucket counts (merge path).
-
-    Mirrors :meth:`LatencyHistogram._quantile_locked` exactly, so a
-    merged snapshot of one input equals that input.
-    """
-    if count == 0:
-        return 0.0
-    rank = q * count
-    cumulative = 0.0
-    for i, upper in enumerate(buckets):
-        previous = cumulative
-        cumulative += counts[i]
-        if cumulative >= rank:
-            if counts[i] == 0:
-                return upper
-            lower = buckets[i - 1] if i else 0.0
-            fraction = (rank - previous) / counts[i]
-            return min(lower + (upper - lower) * fraction, maximum)
-    return maximum
-
 
 class LatencyHistogram:
     """Fixed-bucket streaming histogram with interpolated quantiles.
@@ -245,43 +171,6 @@ class SloSnapshot:
     @property
     def enabled(self) -> bool:
         return self.target_p50 is not None or self.target_p99 is not None
-
-    @classmethod
-    def merge(cls, snapshots: "list[SloSnapshot]") -> "SloSnapshot":
-        """Fleet SLO accounting over per-process snapshots.
-
-        Counters add, latency histograms merge bucket-wise, and burn
-        rates are recomputed from the merged counters (every process
-        shares the targets, which come from one config).  Associative.
-        """
-        snapshots = [s for s in snapshots if s is not None]
-        if not snapshots:
-            return cls(target_p50=None, target_p99=None, observed=0,
-                       over_p50=0, over_p99=0, burn_rate_p50=0.0,
-                       burn_rate_p99=0.0,
-                       latency=LatencyHistogram().snapshot())
-        target_p50 = snapshots[0].target_p50
-        target_p99 = snapshots[0].target_p99
-        observed = sum(s.observed for s in snapshots)
-        over_p50 = sum(s.over_p50 for s in snapshots)
-        over_p99 = sum(s.over_p99 for s in snapshots)
-        burn_p50 = burn_p99 = 0.0
-        if observed:
-            if target_p50 is not None:
-                burn_p50 = (over_p50 / observed) / SloTracker._BUDGET_P50
-            if target_p99 is not None:
-                burn_p99 = (over_p99 / observed) / SloTracker._BUDGET_P99
-        return cls(
-            target_p50=target_p50,
-            target_p99=target_p99,
-            observed=observed,
-            over_p50=over_p50,
-            over_p99=over_p99,
-            burn_rate_p50=burn_p50,
-            burn_rate_p99=burn_p99,
-            latency=HistogramSnapshot.merge(
-                [s.latency for s in snapshots]),
-        )
 
 
 class SloTracker:

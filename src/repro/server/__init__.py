@@ -27,9 +27,7 @@ versus per-client.
 
 from repro.server.batcher import BatcherSnapshot, InferenceBatcher
 from repro.server.client import ClientHandle
-from repro.server.pool import PoolClientHandle, PoolServer
 from repro.server.server import EvaServer
-from repro.server.shard import ShardedWorkerState, ShardRouter
 from repro.server.state import (
     LockedUdfManager,
     SharedReuseState,
@@ -45,10 +43,6 @@ from repro.server.stats import (
 __all__ = [
     "EvaServer",
     "ClientHandle",
-    "PoolServer",
-    "PoolClientHandle",
-    "ShardRouter",
-    "ShardedWorkerState",
     "InferenceBatcher",
     "BatcherSnapshot",
     "SharedReuseState",

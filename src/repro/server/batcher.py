@@ -66,11 +66,6 @@ class BatcherSnapshot:
     max_batch_tuples: int
     max_batch_requests: int
     queue_depth: int
-    #: Requests that arrived from *another process* over the pool's
-    #: shard protocol (:meth:`InferenceBatcher.submit_remote`).  A
-    #: positive count alongside ``coalesced_dispatches`` is the
-    #: observable proof that miss coalescing spans processes.
-    remote_requests: int = 0
 
     @property
     def mean_batch_tuples(self) -> float:
@@ -79,34 +74,6 @@ class BatcherSnapshot:
     @property
     def mean_batch_requests(self) -> float:
         return self.requests / self.dispatches if self.dispatches else 0.0
-
-    @classmethod
-    def merge(cls, snapshots: "list[BatcherSnapshot]"
-              ) -> "BatcherSnapshot":
-        """Fleet rollup of per-process batcher snapshots (associative).
-
-        Counters add and maxima fold.  Under the worker pool each
-        ``(model, video)`` pair is owned by exactly one dispatcher
-        process, so the per-process figures count disjoint physical
-        dispatches and the sums are exact, not estimates.
-        """
-        snapshots = [s for s in snapshots if s is not None]
-        if not snapshots:
-            return cls(requests=0, tuples=0, dispatches=0,
-                       coalesced_dispatches=0, max_batch_tuples=0,
-                       max_batch_requests=0, queue_depth=0)
-        return cls(
-            requests=sum(s.requests for s in snapshots),
-            tuples=sum(s.tuples for s in snapshots),
-            dispatches=sum(s.dispatches for s in snapshots),
-            coalesced_dispatches=sum(s.coalesced_dispatches
-                                     for s in snapshots),
-            max_batch_tuples=max(s.max_batch_tuples for s in snapshots),
-            max_batch_requests=max(s.max_batch_requests
-                                   for s in snapshots),
-            queue_depth=sum(s.queue_depth for s in snapshots),
-            remote_requests=sum(s.remote_requests for s in snapshots),
-        )
 
 
 class _Request:
@@ -172,7 +139,6 @@ class InferenceBatcher:
         self._coalesced_dispatches = 0
         self._max_batch_tuples = 0
         self._max_batch_requests = 0
-        self._remote_requests = 0
 
     # -- the seam the executor calls ------------------------------------------
 
@@ -210,41 +176,6 @@ class InferenceBatcher:
             raise request.error
         assert request.outputs is not None
         return request.outputs
-
-    def submit_remote(self, model, video, inputs: Sequence
-                      ) -> tuple[list, int]:
-        """:meth:`submit` for requests proxied from another process.
-
-        Called by the pool's shard service thread on the dispatcher
-        process that owns ``(model, video)``; the requesting worker
-        blocks on the RPC instead of on the event.  Returns
-        ``(outputs, window_requests)`` so the requester can record its
-        own flight-record batcher wait with the true window occupancy
-        (the thread-local flight context lives in the *requesting*
-        process, not here).
-        """
-        inputs = list(inputs)
-        if not inputs:
-            return [], 0
-        queue = self._queue_for((model.name, video.name))
-        request = _Request(inputs)
-        with queue.lock:
-            queue.pending.append(request)
-            if queue.leader_active:
-                queue.cond.notify_all()
-                is_leader = False
-            else:
-                queue.leader_active = True
-                is_leader = True
-        if is_leader:
-            self._lead(queue, model, video)
-        request.done.wait()
-        with self._stats_lock:
-            self._remote_requests += 1
-        if request.error is not None:
-            raise request.error
-        assert request.outputs is not None
-        return request.outputs, request.window_requests
 
     # -- leader protocol -------------------------------------------------------
 
@@ -350,5 +281,4 @@ class InferenceBatcher:
                 max_batch_tuples=self._max_batch_tuples,
                 max_batch_requests=self._max_batch_requests,
                 queue_depth=depth,
-                remote_requests=self._remote_requests,
             )

@@ -1,7 +1,7 @@
 """The concurrent multi-client query server.
 
 An :class:`EvaServer` runs queries from many clients on a
-``ThreadPoolExecutor``-backed worker pool over one
+``ThreadPoolExecutor``-backed thread pool over one
 :class:`~repro.server.state.SharedReuseState`:
 
 * **admission control** — at most ``max_workers + max_queue`` queries
@@ -77,8 +77,7 @@ class EvaServer:
                  max_workers: int = 4,
                  max_queue: int = 16,
                  default_timeout: float | None = None,
-                 trace_sink: TraceSink | None = None,
-                 state: SharedReuseState | None = None):
+                 trace_sink: TraceSink | None = None):
         if max_workers < 1:
             raise ServerError("max_workers must be >= 1")
         if max_queue < 0:
@@ -90,12 +89,7 @@ class EvaServer:
         #: records, slow queries — all stamped with the client id).
         self.trace_sink: TraceSink = (trace_sink if trace_sink is not None
                                       else InMemorySink())
-        #: ``state`` injection seam: the worker pool embeds one
-        #: EvaServer per worker process over a pre-built
-        #: :class:`~repro.server.shard.ShardedWorkerState` instead of
-        #: letting the server construct the default single-store state.
-        self.state = (state if state is not None
-                      else SharedReuseState(config, zoo))
+        self.state = SharedReuseState(config, zoo)
         self.stats_hub = ServerStats()
         self.state.attach_stats(self.stats_hub)
         self._lock = threading.Lock()
@@ -112,7 +106,7 @@ class EvaServer:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "EvaServer":
-        """Spin up the worker pool (idempotent)."""
+        """Spin up the query thread pool (idempotent)."""
         with self._lock:
             if self._closed:
                 raise ServerClosedError("server already shut down")

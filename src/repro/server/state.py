@@ -462,7 +462,18 @@ class SharedReuseState:
         self.symbolic = SymbolicEngine(
             self.config.symbolic_time_budget,
             memo_size=self.config.symbolic_memo_size)
-        self._init_reuse_state()
+        if self.config.store_mode == "durable":
+            from repro.store import (PersistentUdfManager, open_view_store,
+                                     restore_udf_histories)
+
+            base_store = open_view_store(self.config)
+            base_manager = PersistentUdfManager(self.symbolic, base_store)
+            restore_udf_histories(base_store, base_manager, self.symbolic)
+        else:
+            base_store = ViewStore()
+            base_manager = UdfManager(self.symbolic)
+        self.view_store = SharedViewStore(base_store)
+        self.udf_manager = LockedUdfManager(base_manager)
         #: Cross-client inference micro-batching: every client's
         #: ExecutionContext routes model calls through this shared
         #: batcher, which coalesces concurrent miss sub-batches that
@@ -472,11 +483,6 @@ class SharedReuseState:
         self.batcher = InferenceBatcher(
             max_batch_size=self.config.micro_batch_max_size,
             timeout_ms=self.config.micro_batch_timeout_ms)
-        #: The inference seam handed to sessions.  Defaults to the local
-        #: batcher; the sharded worker state replaces it with a routing
-        #: proxy that forwards each (model, video) to its owning
-        #: dispatcher process so coalescing spans the whole pool.
-        self.inference = self.batcher
         #: One shared profile store: every client's per-model /
         #: per-operator telemetry rolls up into the same continuous
         #: profile (ProfileStore is internally thread-safe), mirroring
@@ -499,57 +505,20 @@ class SharedReuseState:
         #: span clients (client B reading client A's view is exactly the
         #: cross-client benefit the ledger quantifies).
         self.ledger = ViewLedger() if self.config.view_ledger else None
+        if self.ledger is not None:
+            base_store.ledger = self.ledger
         #: Recent ``store-eviction`` audit records (bounded; admin API).
         self.eviction_records: list = []
-        self._init_shared_services()
-        self._setup_lock = threading.Lock()
-
-    def _init_reuse_state(self) -> None:
-        """Build the view store + UDF manager this state serves from.
-
-        Sets ``self.view_store`` (a :class:`SharedViewStore` or a
-        duck-typed equivalent), ``self.udf_manager`` (a
-        :class:`LockedUdfManager` contract), and ``self._base_stores``
-        — the list of underlying physical stores the shared services
-        (ledger hookup, eviction wiring) iterate over.  The worker-pool
-        state (:class:`~repro.server.shard.ShardedWorkerState`)
-        overrides this to open one durable partition per owned shard
-        and route by shard key; the default is the single-store layout.
-        """
-        if self.config.store_mode == "durable":
-            from repro.store import (PersistentUdfManager, open_view_store,
-                                     restore_udf_histories)
-
-            base_store = open_view_store(self.config)
-            base_manager = PersistentUdfManager(self.symbolic, base_store)
-            restore_udf_histories(base_store, base_manager, self.symbolic)
-        else:
-            base_store = ViewStore()
-            base_manager = UdfManager(self.symbolic)
-        self.view_store = SharedViewStore(base_store)
-        self.udf_manager = LockedUdfManager(base_manager)
-        self._base_stores = [base_store]
-
-    def _init_shared_services(self) -> None:
-        """Wire the ledger and eviction audit into every base store.
-
-        Iterates ``self._base_stores`` so the sharded layout (several
-        durable partitions per process) gets the same provenance and
-        tiering treatment per shard as the single-store layout gets for
-        its one store.
-        """
-        for base_store in self._base_stores:
+        if getattr(base_store, "is_durable", False):
+            from repro.store import make_cost_resolver
+            base_store.cost_resolver = make_cost_resolver(
+                self.profiler, self.catalog)
             if self.ledger is not None:
-                base_store.ledger = self.ledger
-            if getattr(base_store, "is_durable", False):
-                from repro.store import make_cost_resolver
-                base_store.cost_resolver = make_cost_resolver(
-                    self.profiler, self.catalog)
-                if self.ledger is not None:
-                    recovered = base_store.recovered_lineage
-                    if recovered:
-                        self.ledger.restore(recovered)
-                base_store.eviction_listener = self._record_eviction
+                recovered = base_store.recovered_lineage
+                if recovered:
+                    self.ledger.restore(recovered)
+            base_store.eviction_listener = self._record_eviction
+        self._setup_lock = threading.Lock()
 
     def _record_eviction(self, name: str, *, action: str, reason: str,
                          score: float, nbytes: int) -> None:
@@ -624,7 +593,7 @@ class SharedReuseState:
             tracer=Tracer(clock=clock, sink=trace_sink,
                           client_id=client_id),
             profiler=self.profiler,
-            inference=self.inference,
+            inference=self.batcher,
             slo=self.slo,
             flight_stats=self.flight_stats,
             kernel_cache=self.kernel_cache,

@@ -29,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.metrics import MetricsCollector
-from repro.obs.slo import HistogramSnapshot, LatencyHistogram
+from repro.obs.slo import LatencyHistogram
 
 #: Attribution owner recorded when a key's materializing client is
 #: unknown (e.g. state loaded from disk before the server started).
@@ -74,45 +74,6 @@ class ClientStatsSnapshot:
     #: Probes by *other* clients served from this client's work.
     hits_donated: int
     qps: float
-    #: Raw QPS window bounds (``time.monotonic``), carried so
-    #: multi-process snapshots merge associatively: the fleet window is
-    #: ``min(first_activity)..max(last_completed)``, never a sum of
-    #: per-process windows (which would double-count overlap).  On
-    #: Linux ``time.monotonic`` is ``CLOCK_MONOTONIC``, comparable
-    #: across processes on one host.
-    first_activity: float | None = None
-    last_completed: float | None = None
-
-    @classmethod
-    def merge(cls, snapshots: "list[ClientStatsSnapshot]"
-              ) -> "ClientStatsSnapshot":
-        """Combine per-process views of *the same client id*."""
-        first = None
-        last = None
-        for s in snapshots:
-            if s.first_activity is not None and (
-                    first is None or s.first_activity < first):
-                first = s.first_activity
-            if s.last_completed is not None and (
-                    last is None or s.last_completed > last):
-                last = s.last_completed
-        completed = sum(s.completed for s in snapshots)
-        return cls(
-            client_id=snapshots[0].client_id,
-            submitted=sum(s.submitted for s in snapshots),
-            completed=completed,
-            failed=sum(s.failed for s in snapshots),
-            rejected=sum(s.rejected for s in snapshots),
-            timed_out=sum(s.timed_out for s in snapshots),
-            cancelled=sum(s.cancelled for s in snapshots),
-            keys_materialized=sum(s.keys_materialized for s in snapshots),
-            hits_received=sum(s.hits_received for s in snapshots),
-            hits_from_others=sum(s.hits_from_others for s in snapshots),
-            hits_donated=sum(s.hits_donated for s in snapshots),
-            qps=_window_qps(completed, first, last),
-            first_activity=first,
-            last_completed=last,
-        )
 
 
 @dataclass(frozen=True)
@@ -143,121 +104,6 @@ class ServerStatsSnapshot:
     #: Per-lock-class contention: lock class -> ``read_s`` / ``write_s``
     #: / ``waits`` / ``writers_waiting_high_water`` / histogram summary.
     lock_waits: dict = field(default_factory=dict)
-    #: Aggregate QPS window bounds (raw ``time.monotonic``); see
-    #: :class:`ClientStatsSnapshot`.  These — not ``aggregate_qps`` —
-    #: are what :meth:`merge` combines, so fleet QPS is recomputed over
-    #: the union window instead of double-counting the admission window
-    #: once per process.
-    first_activity: float | None = None
-    last_completed: float | None = None
-    #: Raw admission-wait histogram (bucket counts), carried alongside
-    #: the ``admission_wait`` summary dict so snapshots merge without
-    #: averaging quantiles.
-    admission_histogram: HistogramSnapshot | None = None
-    #: Lock class -> raw :class:`HistogramSnapshot` backing the
-    #: ``lock_waits[...]["wait"]`` summaries.
-    lock_wait_histograms: dict = field(default_factory=dict)
-
-    @classmethod
-    def merge(cls, snapshots: "list[ServerStatsSnapshot]"
-              ) -> "ServerStatsSnapshot":
-        """Fold per-worker-process snapshots into one fleet snapshot.
-
-        Associative, same contract as
-        :meth:`~repro.obs.profiler.ProfileStore.merge`:
-
-        * lifecycle counters and reuse attribution add;
-        * the QPS window is ``min(first_activity)`` to
-          ``max(last_completed)`` across processes — each query is
-          counted once over one shared wall-clock window, so merging N
-          snapshots of the same interval does **not** report N× QPS;
-        * latency histograms merge bucket-wise with quantiles
-          re-estimated from the merged counts
-          (:meth:`HistogramSnapshot.merge`);
-        * per-client rows with the same ``client_id`` merge the same
-          way (a client's queries may have run on several workers);
-        * ``num_views`` / ``view_storage_bytes`` add (shards are
-          disjoint across workers); ``hit_percentage`` is a
-          completed-query-weighted estimate — callers holding the
-          per-worker :class:`~repro.metrics.MetricsCollector` objects
-          should recompute the exact figure via
-          :func:`merged_metrics` and report that instead;
-        * ``queue_depth`` adds; ``peak_queue_depth`` adds too, an
-          upper bound on the true fleet peak (per-process peaks need
-          not coincide in time).
-        """
-        if not snapshots:
-            return cls(uptime=0.0, workers=0, submitted=0, completed=0,
-                       failed=0, rejected=0, timed_out=0, cancelled=0,
-                       queue_depth=0, peak_queue_depth=0,
-                       aggregate_qps=0.0, hit_percentage=0.0,
-                       num_views=0, view_storage_bytes=0)
-        first = None
-        last = None
-        for s in snapshots:
-            if s.first_activity is not None and (
-                    first is None or s.first_activity < first):
-                first = s.first_activity
-            if s.last_completed is not None and (
-                    last is None or s.last_completed > last):
-                last = s.last_completed
-        by_client: dict[str, list[ClientStatsSnapshot]] = defaultdict(list)
-        for s in snapshots:
-            for c in s.clients:
-                by_client[c.client_id].append(c)
-        clients = tuple(ClientStatsSnapshot.merge(by_client[client_id])
-                        for client_id in sorted(by_client))
-        cross: dict[tuple[str, str], int] = defaultdict(int)
-        for s in snapshots:
-            for pair, n in s.cross_client_hits.items():
-                cross[pair] += n
-        admission = HistogramSnapshot.merge(
-            [s.admission_histogram for s in snapshots])
-        lock_classes = sorted({name for s in snapshots
-                               for name in s.lock_waits})
-        lock_waits = {}
-        lock_histograms = {}
-        for name in lock_classes:
-            parts = [s.lock_waits[name] for s in snapshots
-                     if name in s.lock_waits]
-            histogram = HistogramSnapshot.merge(
-                [s.lock_wait_histograms.get(name) for s in snapshots])
-            lock_histograms[name] = histogram
-            lock_waits[name] = {
-                "read_s": round(sum(p["read_s"] for p in parts), 9),
-                "write_s": round(sum(p["write_s"] for p in parts), 9),
-                "waits": sum(p["waits"] for p in parts),
-                "writers_waiting_high_water": max(
-                    p["writers_waiting_high_water"] for p in parts),
-                "wait": histogram.to_dict(),
-            }
-        completed = sum(s.completed for s in snapshots)
-        weighted = sum(s.hit_percentage * s.completed for s in snapshots)
-        return cls(
-            uptime=max(s.uptime for s in snapshots),
-            workers=sum(s.workers for s in snapshots),
-            submitted=sum(s.submitted for s in snapshots),
-            completed=completed,
-            failed=sum(s.failed for s in snapshots),
-            rejected=sum(s.rejected for s in snapshots),
-            timed_out=sum(s.timed_out for s in snapshots),
-            cancelled=sum(s.cancelled for s in snapshots),
-            queue_depth=sum(s.queue_depth for s in snapshots),
-            peak_queue_depth=sum(s.peak_queue_depth for s in snapshots),
-            aggregate_qps=_window_qps(completed, first, last),
-            hit_percentage=(weighted / completed) if completed else 0.0,
-            num_views=sum(s.num_views for s in snapshots),
-            view_storage_bytes=sum(s.view_storage_bytes
-                                   for s in snapshots),
-            clients=clients,
-            cross_client_hits=dict(cross),
-            admission_wait=admission.to_dict(),
-            lock_waits=lock_waits,
-            first_activity=first,
-            last_completed=last,
-            admission_histogram=admission,
-            lock_wait_histograms=lock_histograms,
-        )
 
     @property
     def cross_client_hit_count(self) -> int:
@@ -469,8 +315,6 @@ class ServerStats:
                     hits_donated=c.hits_donated,
                     qps=_window_qps(c.completed, c.first_activity,
                                     c.last_completed),
-                    first_activity=c.first_activity,
-                    last_completed=c.last_completed,
                 ))
             total = _ClientCounters()
             for c in self._clients.values():
@@ -488,10 +332,6 @@ class ServerStats:
                         total.last_completed is None
                         or c.last_completed > total.last_completed):
                     total.last_completed = c.last_completed
-            admission = self._admission_wait.snapshot()
-            lock_histograms = {name: waits.histogram.snapshot()
-                               for name, waits
-                               in sorted(self._lock_waits.items())}
             return ServerStatsSnapshot(
                 uptime=uptime,
                 workers=workers,
@@ -511,14 +351,10 @@ class ServerStats:
                 view_storage_bytes=view_storage_bytes,
                 clients=tuple(clients),
                 cross_client_hits=dict(self._cross_hits),
-                admission_wait=admission.to_dict(),
+                admission_wait=self._admission_wait.snapshot().to_dict(),
                 lock_waits={name: waits.to_dict()
                             for name, waits
                             in sorted(self._lock_waits.items())},
-                first_activity=total.first_activity,
-                last_completed=total.last_completed,
-                admission_histogram=admission,
-                lock_wait_histograms=lock_histograms,
             )
 
 

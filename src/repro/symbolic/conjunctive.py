@@ -28,14 +28,6 @@ class Conjunctive:
         object.__setattr__(self, "constraints",
                            MappingProxyType(dict(sorted(cleaned.items()))))
 
-    def __reduce__(self):
-        # MappingProxyType is not picklable; rebuild through the
-        # constructor from a plain dict (re-frozen in __post_init__).
-        # Predicates cross process boundaries in the worker pool's
-        # shard protocol, so this must round-trip exactly — and does:
-        # construction is deterministic and sorted.
-        return (Conjunctive, (dict(self.constraints),))
-
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -9,17 +9,21 @@ Covers the acceptance bar of the serving subsystem:
   aggregate hit percentage than the same workload on isolated sessions;
 * admission control rejects with retry-after when the queue is full;
 * graceful shutdown drains queued and running queries;
-* per-query timeouts cancel cooperatively.
+* per-query timeouts cancel cooperatively;
+* over a durable store whose tier budgets are smaller than its
+  footprint, rows still match the no-reuse plan and a restarted server
+  recovers exactly the views the first one left behind.
 """
 
 from __future__ import annotations
 
+import shutil
 import threading
 import time
 
 import pytest
 
-from repro.config import EvaConfig
+from repro.config import EvaConfig, ReusePolicy
 from repro.errors import (
     EvaError,
     QueryTimeoutError,
@@ -30,6 +34,7 @@ from repro.models.detectors import SimulatedDetector
 from repro.models.zoo import default_zoo
 from repro.server import EvaServer, merged_metrics
 from repro.session import EvaSession
+from repro.store import DurableViewStore
 from repro.types import Accuracy, VideoMetadata
 from repro.video.synthetic import SyntheticVideo
 
@@ -374,3 +379,110 @@ class TestSharedSessionGuards:
                 server.connect("dup")
         finally:
             server.shutdown()
+
+
+# -- durable store under tier budgets ---------------------------------------------
+
+
+def budget_queries(table: str = "budget") -> dict[str, list[str]]:
+    """A refining and a skimming client over three detector/classifier
+    views, so the tier budgets have several views to choose between."""
+    return {
+        "refine": [
+            f"SELECT id, label FROM {table} CROSS APPLY "
+            f"FastRCNNObjectDetector(frame) "
+            f"WHERE id < 40 AND label = 'car';",
+            f"SELECT id, label FROM {table} CROSS APPLY "
+            f"FastRCNNObjectDetector(frame) "
+            f"WHERE id < 40 AND label = 'car' "
+            f"AND CarType(frame, bbox) = 'Toyota';",
+            f"SELECT id, label FROM {table} CROSS APPLY "
+            f"FastRCNNObjectDetector(frame) "
+            f"WHERE id >= 30 AND id < 80 AND label = 'car' "
+            f"AND ColorDet(frame, bbox) = 'Silver';",
+        ],
+        "skim": [
+            f"SELECT id FROM {table} CROSS APPLY YoloTiny(frame) "
+            f"WHERE id < 60 AND label = 'bus';",
+            f"SELECT id FROM {table} CROSS APPLY "
+            f"FastRCNNObjectDetector(frame) "
+            f"WHERE id >= 20 AND id < 70 AND label = 'truck';",
+            f"SELECT id FROM {table} CROSS APPLY YoloTiny(frame) "
+            f"WHERE id >= 40 AND id < 96 AND label = 'car';",
+        ],
+    }
+
+
+def dump_views(store) -> dict:
+    """``{view name: sorted (key, rows) items}`` for every view."""
+    return {name: sorted(store.get(name).items())
+            for name in store.names()}
+
+
+class TestBudgetedDurableServing:
+    #: Per-tier byte budgets; the workload's unbudgeted footprint is
+    #: about 19 KB, so both tiers overflow and views are demoted and
+    #: dropped while the clients run.
+    TIER_BYTES = 8000
+
+    def run_clients(self, server, queries) -> dict:
+        """Run both clients' queries alternately, one at a time."""
+        handles = {name: server.connect(name) for name in queries}
+        rows = {}
+        for round_queries in zip(*queries.values()):
+            for name, sql in zip(queries, round_queries):
+                rows[sql] = sorted(handles[name].execute(sql).rows)
+        return rows
+
+    def test_rows_match_no_reuse_and_restart_recovers_views(
+            self, tmp_path):
+        video = make_video("budget", frames=96)
+        queries = budget_queries()
+        reference = {}
+        for sql in (sql for qs in queries.values() for sql in qs):
+            session = EvaSession(
+                config=EvaConfig(reuse_policy=ReusePolicy.NONE))
+            session.register_video(make_video("budget", frames=96))
+            reference[sql] = sorted(session.execute(sql).rows)
+
+        config = EvaConfig(store_mode="durable",
+                           store_path=str(tmp_path / "store"),
+                           store_hot_bytes=self.TIER_BYTES,
+                           store_warm_bytes=self.TIER_BYTES)
+        server = EvaServer(config, max_workers=2)
+        server.register_video(video)
+        with server:
+            assert self.run_clients(server, queries) == reference
+            cold_hit_percentage = server.hit_percentage()
+            store = server.state.view_store
+            names = store.names()
+            counters = store.store_snapshot().counters
+        assert counters["demotions"] > 0 and counters["evicted_dropped"] > 0
+        assert names
+
+        # What the first server left on disk, read from a copy through
+        # an unbudgeted store (reading it cannot evict anything).
+        shutil.copytree(tmp_path / "store", tmp_path / "copy")
+        reader = DurableViewStore(tmp_path / "copy")
+        try:
+            persisted = dump_views(reader)
+        finally:
+            reader.close()
+        assert sorted(persisted) == names
+
+        restarted = EvaServer(config, max_workers=2)
+        restarted.register_video(make_video("budget", frames=96))
+        with restarted:
+            base = restarted.state.view_store.base
+            assert base.names() == names
+            # Lift the budgets while dumping so a promotion cannot drop
+            # a view that has not been read yet.
+            budgets = base.hot_budget, base.warm_budget
+            base.hot_budget = base.warm_budget = 0
+            assert dump_views(base) == persisted
+            base.hot_budget, base.warm_budget = budgets
+
+            # The same workload again: still the no-reuse rows, and the
+            # recovered views save work the cold run had to do.
+            assert self.run_clients(restarted, queries) == reference
+            assert restarted.hit_percentage() > cold_hit_percentage
